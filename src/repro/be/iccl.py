@@ -24,10 +24,15 @@ from typing import Any, Generator, Optional, Sequence
 
 from repro.simx import SeededRNG, Simulator, Store
 from repro.cluster.costs import CostModel
-from repro.cluster.network import Network, PipeEnd, Sized
+from repro.cluster.network import Network, PipeEnd, Sized, message_size
 from repro.cluster.node import Node
 
 __all__ = ["ICCLEndpoint", "ICCLError", "ICCLFabric", "TreeTopology"]
+
+#: ``message_size`` framing of a list (a gather batch, a scatter slice)
+_LIST_FRAME = message_size([])
+#: wire size of every ``(tag, rank)`` barrier token
+_TOKEN_SIZE = message_size(("bar", 0))
 
 
 class ICCLError(RuntimeError):
@@ -200,15 +205,20 @@ class ICCLEndpoint:
 
     # -- collectives --------------------------------------------------------
     def barrier(self) -> Generator[Any, Any, None]:
-        """Tree barrier: reduce a token to the root, then release downward."""
+        """Tree barrier: reduce a token to the root, then release downward.
+
+        Tokens are pre-sized envelopes: every ``(tag, rank)`` token has
+        the same wire size, so none is walked per message.
+        """
         start = self.fabric.sim.now
         for child in sorted(self.fabric.topology.children[self.rank]):
             yield self._child_ends[child].recv()
         if self._parent_end is not None:
-            yield self._parent_end.send(("bar", self.rank))
+            yield self._parent_end.send(Sized(("bar", self.rank), _TOKEN_SIZE))
             yield self._parent_end.recv()
         for child in sorted(self.fabric.topology.children[self.rank]):
-            yield self._child_ends[child].send(("rel", self.rank))
+            yield self._child_ends[child].send(
+                Sized(("rel", self.rank), _TOKEN_SIZE))
         self.collective_time += self.fabric.sim.now - start
 
     def gather(self, obj: Any) -> Generator[Any, Any, Optional[list]]:
@@ -216,14 +226,22 @@ class ICCLEndpoint:
 
         Returns the full list at rank 0, None elsewhere. Root-side
         per-record processing cost models the RM fabric service.
+
+        Batches travel as :class:`~repro.cluster.network.Sized`
+        envelopes whose size grows with each merged child batch (its
+        size minus the 16-byte list framing both batches carry), so
+        each record is walked once, at its own rank when that rank
+        sends, not again at every hop up the tree.
         """
         self._require_wired()
         fab = self.fabric
         start = fab.sim.now
         records: list[tuple[int, Any]] = [(self.rank, obj)]
+        size = _LIST_FRAME
         for child in self._ordered_children():
             batch = yield self._child_ends[child].recv()
-            records.extend(batch)
+            records.extend(batch.payload)
+            size += batch.wire_size() - _LIST_FRAME
         # the RM fabric's per-record relay service is charged at the master
         # (rank 0), which is what makes T(collective) linear in daemon count
         if fab.per_rec_cost and self._parent_end is None and len(records) > 1:
@@ -231,7 +249,8 @@ class ICCLEndpoint:
                 fab.rng.jitter(fab.per_rec_cost * (len(records) - 1)))
         result: Optional[list] = None
         if self._parent_end is not None:
-            yield self._parent_end.send(records)
+            yield self._parent_end.send(
+                Sized(records, size + message_size(records[0])))
         else:
             records.sort(key=lambda kv: kv[0])
             if len(records) != fab.size:
@@ -266,7 +285,10 @@ class ICCLEndpoint:
         """Scatter a per-rank list from the master; returns this rank's item.
 
         The root routes each subtree's slice down the matching child link;
-        per-record routing cost applies at the root like gather.
+        per-record routing cost applies at the root like gather. The root
+        sizes each forwarded ``(rank, obj)`` record once; slices carry
+        those sizes down the tree, so no hop re-walks the records it
+        forwards.
         """
         self._require_wired()
         fab = self.fabric
@@ -277,15 +299,33 @@ class ICCLEndpoint:
                 raise ICCLError(
                     f"scatter root needs exactly {fab.size} objects")
             slices: dict[int, Any] = {r: objs[r] for r in range(fab.size)}
+            sizes = {r: message_size((r, o)) for r, o in slices.items()
+                     if r != self.rank}
             if fab.per_rec_cost and fab.size > 1:
                 yield fab.sim.timeout(
                     fab.rng.jitter(fab.per_rec_cost * (fab.size - 1)))
         else:
             batch = yield self._parent_end.recv()
-            slices = dict(batch)
+            slices = dict(batch.payload)
+            sizes = batch.rec_sizes
         my_obj = slices[self.rank]
         for child in self._ordered_children():
-            sub = {r: slices[r] for r in topo.subtree(child)}
-            yield self._child_ends[child].send(list(sub.items()))
+            ranks = topo.subtree(child)
+            sub_sizes = {r: sizes[r] for r in ranks}
+            yield self._child_ends[child].send(_Slice(
+                [(r, slices[r]) for r in ranks],
+                _LIST_FRAME + sum(sub_sizes.values()), sub_sizes))
         self.collective_time += fab.sim.now - start
         return my_obj
+
+
+class _Slice(Sized):
+    """A scatter slice: its ``(rank, obj)`` records plus each record's
+    byte size, so the receiving rank can size its children's slices
+    without walking the records again."""
+
+    __slots__ = ("rec_sizes",)
+
+    def __init__(self, records: list, size: int, rec_sizes: dict[int, int]):
+        super().__init__(records, size)
+        self.rec_sizes = rec_sizes

@@ -33,7 +33,7 @@ def message_size(message: Any) -> int:
 
 
 class Sized:
-    """A message envelope whose byte size is computed once, at wrap time.
+    """A message envelope whose byte size is known once, at wrap time.
 
     Broadcast-style fan-outs send one payload object to every peer;
     without the envelope each hop re-walks the payload (``message_size``
@@ -41,13 +41,19 @@ class Sized:
     O(n)-sized payload into O(n^2) wall-clock work. The envelope reports
     exactly ``message_size(payload)``, so simulated timings are
     unchanged; receivers unwrap ``.payload``.
+
+    ``size`` is the contract for callers that already know the byte
+    count -- a gather batch grown record by record, a scatter slice
+    summed from per-record sizes, a fixed-shape barrier token. It must
+    equal ``message_size(payload)`` exactly; when omitted the payload is
+    walked once here.
     """
 
     __slots__ = ("payload", "_size")
 
-    def __init__(self, payload: Any):
+    def __init__(self, payload: Any, size: Optional[int] = None):
         self.payload = payload
-        self._size = message_size(payload)
+        self._size = message_size(payload) if size is None else size
 
     def wire_size(self) -> int:
         return self._size

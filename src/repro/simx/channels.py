@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from repro.simx.core import Event, SimulationError, Simulator
+from repro.simx.core import (Event, SimulationError, Simulator, Timeout,
+                             _Initialize)
 
 __all__ = ["Channel", "Store"]
 
@@ -77,6 +78,22 @@ class Channel:
     immediately); delivery into the receiver-visible store happens after
     ``latency_fn(message)`` virtual seconds. With zero latency the channel
     degenerates to a plain Store.
+
+    A delayed message is carried by a short callback chain, not by a
+    process: an URGENT zero-delay bootstrap event, then the latency
+    :class:`~repro.simx.core.Timeout`, then ``Store.put``, whose event's
+    callback succeeds the returned ``done`` event. ``send`` schedules the
+    bootstrap where a delivery *process* would have scheduled its own
+    bootstrap; the timer, the put and ``done`` are scheduled from the
+    callbacks of the bootstrap, the timer and the put, exactly where
+    that process's first, second and third resumes scheduled them. So
+    every event keeps its ``(time, priority, seq)`` rank against all
+    other events. The one event dropped is that process's own
+    completion, which had no subscribers; removing it only removes a
+    ``seq`` value, so the remaining events keep their relative order.
+    Starting the timer at the bootstrap, not at ``send`` time, is what
+    keeps exact float-time ties with other timers in their original
+    order.
     """
 
     __slots__ = ("sim", "name", "_latency_fn", "_store",
@@ -101,16 +118,7 @@ class Channel:
         if delay == 0.0:
             self.delivered_count += 1
             return self._store.put(message)
-        done = Event(self.sim)
-
-        def _deliver(sim=self.sim, msg=message):
-            yield sim.timeout(delay)
-            self.delivered_count += 1
-            yield self._store.put(msg)
-            done.succeed()
-
-        self.sim.process(_deliver(), name=f"chan-deliver:{self.name}")
-        return done
+        return _Delivery(self, message, delay).done
 
     def recv(self) -> Event:
         """Event triggering with the next delivered message."""
@@ -119,3 +127,34 @@ class Channel:
     def pending(self) -> int:
         """Messages delivered but not yet received."""
         return len(self._store)
+
+
+class _Delivery:
+    """One delayed message in flight on a :class:`Channel`.
+
+    Each step is an event callback that schedules the next one; every
+    event drops its callbacks once processed, so a completed delivery
+    holds no reference cycle and is freed by reference counting.
+    """
+
+    __slots__ = ("chan", "msg", "delay", "done")
+
+    def __init__(self, chan: Channel, msg: Any, delay: float):
+        self.chan = chan
+        self.msg = msg
+        self.delay = delay
+        self.done = Event(chan.sim)
+        _Initialize(chan.sim, self._start)
+
+    def _start(self, _boot: Event) -> None:
+        timer = Timeout(self.chan.sim, self.delay)
+        timer.callbacks.append(self._arrive)  # type: ignore[union-attr]
+
+    def _arrive(self, _timer: Event) -> None:
+        chan = self.chan
+        chan.delivered_count += 1
+        put = chan._store.put(self.msg)
+        put.callbacks.append(self._stored)  # type: ignore[union-attr]
+
+    def _stored(self, _put: Event) -> None:
+        self.done.succeed()

@@ -193,15 +193,17 @@ class Timeout(Event):
 
 
 class _Initialize(Event):
-    """Bootstrap event that starts a freshly created process."""
+    """Bootstrap event: runs ``callback`` at the current instant, ahead of
+    same-time NORMAL events. It starts a freshly created process, and a
+    :class:`~repro.simx.channels.Channel` delivery's latency timer."""
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", process: "Process"):
+    def __init__(self, sim: "Simulator", callback: Callable[[Event], None]):
         super().__init__(sim)
         self._value = None
         self._defused = True
-        self.callbacks.append(process._resume)  # type: ignore[union-attr]
+        self.callbacks.append(callback)  # type: ignore[union-attr]
         sim._enqueue(self, 0.0, URGENT)
 
     @property
@@ -237,6 +239,10 @@ class Process(Event):
     generator's return value when it finishes (or fails with its unhandled
     exception), so processes can wait on each other by yielding a
     :class:`Process`.
+
+    A finished process drops its waiter handle, which breaks the
+    ``Process`` <-> ``_Waiter`` reference cycle: once unreferenced it is
+    freed by reference counting instead of waiting for a cyclic GC pass.
     """
 
     __slots__ = ("_gen", "_target", "name", "_waiter")
@@ -248,9 +254,9 @@ class Process(Event):
         super().__init__(sim)
         self._gen = gen
         self._target: Optional[Event] = None
-        self._waiter = _Waiter(self)
+        self._waiter: Optional[_Waiter] = _Waiter(self)
         self.name = name or getattr(gen, "__name__", "process")
-        _Initialize(sim, self)
+        _Initialize(sim, self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -341,6 +347,7 @@ class Process(Event):
                     next_ev = self._gen.throw(event._exc)
             except StopIteration as stop:
                 self._target = None
+                self._waiter = None
                 self.sim._active_proc = None
                 if self.triggered:  # pragma: no cover - defensive
                     return
@@ -349,6 +356,7 @@ class Process(Event):
                 return
             except BaseException as exc:
                 self._target = None
+                self._waiter = None
                 self.sim._active_proc = None
                 self._exc = exc
                 self._value = None
