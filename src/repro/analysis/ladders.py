@@ -48,6 +48,8 @@ def _timed(measure: Callable[[], dict]) -> tuple[dict, float]:
     disproportionately and flattens the fitted exponent below the
     detection limit. Pay the collection before the clock starts and
     freeze survivors out of the collector's reach for the duration.
+    ``Simulator.run`` sees this freeze and leaves the collector alone,
+    so it also covers the point's set-up, not just its runs.
     """
     gc.collect()
     gc.freeze()

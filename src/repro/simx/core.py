@@ -32,6 +32,7 @@ False)`` routes everything through the heap for differential testing.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from time import perf_counter
@@ -573,6 +574,14 @@ class Simulator:
     ``trace`` to a callable makes the dispatcher invoke it as
     ``trace(time, priority, seq, event)`` for every event fired, in firing
     order -- the hook determinism specs record traces through.
+
+    GC policy: :meth:`run` freezes the heap (``gc.freeze()``) on entry and
+    unfreezes it on exit, so the set-up state -- the simulated machine,
+    its topology and inputs -- stays out of every collection made while
+    the simulation runs. A caller that froze the heap itself
+    (``gc.get_freeze_count() > 0``) keeps its freeze: ``run`` then leaves
+    the collector alone. The collector is host-side only; no virtual
+    output depends on it.
     """
 
     def __init__(self, fast_lane: bool = True) -> None:
@@ -695,6 +704,11 @@ class Simulator:
         heappop = heapq.heappop
         stats = self.stats
         trace = self.trace
+        # set-up state stays out of the run's collections, unless the
+        # caller already froze the heap (see the class docstring)
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
         # observational only (SimStats); never consulted for scheduling
         wall0 = perf_counter()  # simlint: allow[wall-clock]
         try:
@@ -728,6 +742,8 @@ class Simulator:
                     trace(self._now, lane_prio, seq, event)
                 event._run_callbacks()
         finally:
+            if freeze:
+                gc.unfreeze()
             stats.wall_time += perf_counter() - wall0  # simlint: allow[wall-clock]
             if _resource is not None:
                 # observational only; ru_maxrss is KiB on Linux

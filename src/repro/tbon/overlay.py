@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Generator, Optional
 
-from repro.simx import Channel, Simulator, Store
+from repro.simx import Channel, Event, Simulator, Store
 from repro.cluster import Node
 from repro.cluster.network import Network, message_size
 from repro.tbon.filters import get_filter, make_filter
@@ -503,6 +503,32 @@ class Overlay:
         return report
 
 
+class _CreditRaces:
+    """One epoch's pending credit races (see :meth:`Stream._send_from`).
+
+    ``pending`` maps each send's credit event to its race event in
+    registration order. A credit that fires first succeeds its race and
+    drops it in O(1) (:meth:`won`); the epoch's end succeeds every race
+    still pending, oldest first (:meth:`ended`). State is O(stalled
+    sends) and the epoch event carries this one callback.
+    """
+
+    __slots__ = ("pending",)
+
+    def __init__(self) -> None:
+        self.pending: dict[Event, Event] = {}
+
+    def won(self, credit: Event) -> None:
+        race = self.pending.pop(credit, None)
+        if race is not None:
+            race.succeed()
+
+    def ended(self, _epoch_ev: Event) -> None:
+        for race in self.pending.values():
+            race.succeed()
+        self.pending.clear()
+
+
 class Stream:
     """One persistent, credit-flow-controlled, stateful-filtered stream.
 
@@ -525,6 +551,12 @@ class Stream:
     rebuilds the plane and re-publishes every surviving leaf's unbanked
     payloads; partial router buffers died with the old plane, so nothing
     is duplicated, and banked waves are never re-sent.
+
+    A leaf send races its credit against the end of its repair epoch.
+    The race costs one plain event per send and one callback on the
+    epoch event, so a long stream's host state stays O(stalled sends),
+    not O(sends ever made); see :meth:`_send_from` for why the event
+    order is that of an ``any_of([credit, epoch_ev])`` race.
     """
 
     def __init__(self, overlay: Overlay, spec: StreamSpec):
@@ -559,8 +591,15 @@ class Stream:
         self._procs: list = []
         #: bumped on every repair/close; invalidates in-flight sends
         self._epoch = 0
-        self._epoch_ev = self.sim.event()
+        self._epoch_ev, self._races = self._new_epoch()
         self._start_plane()
+
+    def _new_epoch(self) -> tuple[Event, _CreditRaces]:
+        """A fresh epoch event and the race registry it ends."""
+        epoch_ev = self.sim.event()
+        races = _CreditRaces()
+        epoch_ev.callbacks.append(races.ended)  # type: ignore[union-attr]
+        return epoch_ev, races
 
     # -- plane ------------------------------------------------------------
     def _start_plane(self) -> None:
@@ -697,8 +736,9 @@ class Stream:
             raise StreamError(
                 f"leaf {position} already published wave {wave}")
         pending[wave] = payload
-        self.report.waves.setdefault(
-            wave, WaveTiming(wave, t_published=self.sim.now))
+        waves = self.report.waves
+        if wave not in waves:
+            waves[wave] = WaveTiming(wave, t_published=self.sim.now)
         self.report.n_published += 1
         yield from self._send_from(position, wave, payload)
 
@@ -711,6 +751,19 @@ class Stream:
         a re-publisher spawned by an older repair -- the send is
         abandoned, because the newest repair's re-publication pass owns
         every unbanked wave from then on.
+
+        The credit races the epoch's end through one plain ``race``
+        event, which fires exactly where ``any_of([credit, epoch_ev])``
+        would. The AnyOf was scheduled by its first child's callback;
+        here the credit's callback succeeds the race, and the epoch
+        event's one callback succeeds the races still pending in
+        registration order -- the order in which the epoch event ran the
+        AnyOfs' callbacks. A race the credit already won is gone from
+        the registry, just as a triggered AnyOf ignored its second
+        child. So every event keeps its ``(time, priority, seq)``. The
+        race is yielded even when the credit is already triggered: the
+        AnyOf's hop is one scheduled event, and skipping it would shift
+        every later ``seq``.
         """
         if epoch is None:
             epoch = self._epoch
@@ -722,10 +775,14 @@ class Stream:
             return
         pkt = Packet(self.spec.stream_id, wave, payload, "up")
         t0 = self.sim.now
-        ev = inbox.credit_event()
-        if not ev.triggered:
+        credit = inbox.credit_event()
+        if not credit.triggered:
             inbox.note_stall_started()
-        yield self.sim.any_of([ev, self._epoch_ev])
+        race = Event(self.sim)
+        races = self._races
+        races.pending[credit] = race
+        credit.callbacks.append(races.won)  # type: ignore[union-attr]
+        yield race
         inbox.note_stall_ended(t0)
         if self._epoch != epoch:
             return
@@ -846,7 +903,8 @@ class Stream:
         # the stream
         self._delivery.rebuild_gate()
         self._epoch += 1
-        old_ev, self._epoch_ev = self._epoch_ev, self.sim.event()
+        old_ev = self._epoch_ev
+        self._epoch_ev, self._races = self._new_epoch()
         old_ev.succeed()
 
     def close(self) -> StreamReport:

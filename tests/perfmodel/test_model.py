@@ -34,6 +34,8 @@ class TestFit:
             fit_component_scaling([1], [1])
         with pytest.raises(ValueError):
             fit_component_scaling([1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="identical"):
+            fit_component_scaling([4, 4, 4], [1, 2, 3])
 
 
 class TestModelShape:
