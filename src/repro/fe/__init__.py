@@ -25,11 +25,11 @@ Two faces of the same API:
 
 Sessions carry their spawn cost breakdown (``session.launch_report`` /
 ``SessionHandle.launch_report``, a :class:`~repro.launch.LaunchReport`
-with per-phase and -- under a resilient launch policy -- per-daemon-index
-attribution). When the resource manager runs under a
-:class:`~repro.launch.LaunchPolicy` and nodes crash mid-launch, a partial
-daemon set that meets ``min_daemon_fraction`` lands the session in the
-``DEGRADED`` state instead of failing it; see :mod:`repro.fe.session` for
+with per-phase and per-daemon-index attribution). When the resource
+manager runs under a :class:`~repro.launch.LaunchPolicy` that accepts a
+partial set and nodes crash mid-launch, a daemon set that meets
+``min_daemon_fraction`` lands the session in the ``DEGRADED`` state
+instead of failing it; see :mod:`repro.fe.session` for
 the full state machine and ``docs/failure-modes.md`` for the fault model.
 """
 

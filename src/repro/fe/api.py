@@ -503,8 +503,7 @@ class ToolFrontEnd:
         :class:`FrontEndError` raises -- the caller's failure path reclaims
         the session (nodes released, daemons exited, state FAILED).
         """
-        policy = getattr(self.rm, "policy", None)
-        timeout = policy.handshake_timeout if policy is not None else 0.0
+        timeout = self.rm.policy.handshake_timeout
         if timeout <= 0:
             yield from self._be_handshake(session, rendezvous, usr_data)
             return

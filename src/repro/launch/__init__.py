@@ -3,11 +3,12 @@
 One pluggable :class:`LaunchStrategy` interface (``serial-rsh``,
 ``tree-rsh``, ``rm-bulk``) behind every launch path in the repo, with a
 common :class:`LaunchReport` carrying the per-phase timing breakdown
-(spawn / image-stage / topo-dist / connect / handshake / repair) *and*,
-for resilient launches, per-index failure attribution (outcomes / retries
-/ blacklisted nodes). :class:`LaunchPolicy` bundles the resilience knobs
+(spawn / image-stage / topo-dist / connect / handshake / repair) *and*
+per-index failure attribution (outcomes / retries / blacklisted nodes).
+:class:`LaunchPolicy` is the one failure contract every spawn runs under
 -- per-daemon timeout, bounded retry with backoff, node blacklisting,
-min-daemon fraction -- that resource managers apply to every spawn. See
+min-daemon fraction, fail-fast -- with :data:`LEGACY` (one fail-fast
+attempt, complete set required) as the default preset. See
 :mod:`repro.launch.strategy` for the mechanism semantics,
 :mod:`repro.cluster.cluster` for the image staging modes the strategies
 drive (``shared-fs`` / ``cache`` / ``broadcast``), and
@@ -15,7 +16,7 @@ drive (``shared-fs`` / ``cache`` / ``broadcast``), and
 """
 
 from repro.launch.report import LaunchReport, PHASES
-from repro.launch.policy import LaunchPolicy
+from repro.launch.policy import LEGACY, LaunchPolicy
 from repro.launch.strategy import (
     LaunchRequest,
     LaunchResult,
@@ -30,6 +31,7 @@ from repro.launch.strategy import (
 )
 
 __all__ = [
+    "LEGACY",
     "LaunchPolicy",
     "LaunchReport",
     "LaunchRequest",

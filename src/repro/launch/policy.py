@@ -22,13 +22,17 @@ PAPERS.md), not bolted on by callers:
   and the session lands in ``FAILED`` with its nodes reclaimed;
 * **handshake timeout** -- bounds the FE<->master-BE handshake so a daemon
   killed mid-handshake fails the session instead of hanging it forever
-  (``0`` = wait forever, the classic behaviour).
+  (``0`` = wait forever, the classic behaviour);
+* **fail-fast** -- stop the launch at the first daemon whose attempts
+  are exhausted: the strategy records the failure in ``report.failed`` /
+  ``report.failure`` and hands the exception back as
+  ``LaunchResult.error`` (rsh loops stop walking, rm-bulk reaps the
+  partial set and re-raises), instead of continuing past the hole.
 
-The all-defaults policy (``LaunchPolicy()``) is *not* the same as no policy:
-it still demands a complete daemon set (min fraction 1.0) but routes the
-launch through the resilient bookkeeping, so per-index outcomes are
-recorded. ``ResourceManager(policy=None)`` -- the default everywhere --
-keeps the exact legacy semantics and timing.
+:data:`LEGACY` is the preset every launch without an explicit policy runs
+under -- one attempt, no timeout, no blacklist, fail-fast, a complete set
+required: the ad-hoc rsh loop and the all-or-nothing RM job step. It is a
+policy like any other; there is no separate legacy spawn path.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["LaunchPolicy"]
+__all__ = ["LEGACY", "LaunchPolicy"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,25 @@ class LaunchPolicy:
     blacklist_nodes: bool = True
     #: bound the FE<->master-BE handshake (0 = wait forever, classic)
     handshake_timeout: float = 0.0
+    #: stop the launch at the first exhausted daemon (see module docstring)
+    fail_fast: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("max_retries", "per_daemon_timeout", "retry_backoff",
+                     "handshake_timeout"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"LaunchPolicy.{name} must be >= 0, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0 < self.min_daemon_fraction <= 1:
+            raise ValueError(
+                "LaunchPolicy.min_daemon_fraction must be in (0, 1], "
+                f"got {self.min_daemon_fraction!r}")
 
     def min_daemons(self, requested: int) -> int:
         """Smallest acceptable daemon count for a ``requested``-wide set."""
         return max(1, math.ceil(self.min_daemon_fraction * requested))
+
+
+#: the classic contract: one attempt per daemon, no timeout, no blacklist,
+#: stop at the first failure, and only a complete set is accepted
+LEGACY = LaunchPolicy(max_retries=0, blacklist_nodes=False, fail_fast=True)

@@ -24,16 +24,14 @@ instead of comparing opaque totals:
 
 Failure attribution
 -------------------
-A resilient launch (per-daemon timeout / bounded retry / blacklisting --
-see :class:`~repro.launch.policy.LaunchPolicy`) additionally records a
-**per-index outcome** for every requested daemon, so a partial launch is
-attributed, not guessed: ``outcomes[i]`` is ``"ok"``, ``"failed"``
+Every launch (whatever its :class:`~repro.launch.policy.LaunchPolicy`)
+records a **per-index outcome** for each daemon it reached, so a partial
+launch is attributed, not guessed: ``outcomes[i]`` is ``"ok"``, ``"failed"``
 (spawn attempts exhausted), ``"skipped"`` (the node was already
 blacklisted) or ``"lost"`` (spawned, but the daemon died before the set
 assembled -- a node crash between fork and fabric wireup);
 ``retries[i]`` counts the extra attempts index ``i`` needed;
-``blacklisted`` lists nodes this launch condemned. Legacy (non-resilient)
-launches keep the historical ``failed``/``failure`` first-error fields.
+``blacklisted`` lists nodes this launch condemned.
 """
 
 from __future__ import annotations
@@ -56,9 +54,10 @@ class LaunchReport:
     interleaved with a sequential spawn loop are *attributed* to
     ``t_image_stage`` out of the spawn window). ``requested`` vs
     ``n_daemons`` tells whether the launch was partial; the per-index
-    ``outcomes``/``retries``/``blacklisted`` fields (resilient launches
-    only) say exactly which daemons failed, how hard they were retried,
-    and which nodes were condemned.
+    ``outcomes``/``retries``/``blacklisted`` fields say exactly which
+    daemons failed, how hard they were retried, and which nodes were
+    condemned; ``failed``/``failure`` flag a fail-fast launch that
+    stopped at its first exhausted daemon.
     """
 
     mechanism: str
@@ -76,7 +75,7 @@ class LaunchReport:
     failed: bool = False
     failure: str = ""
     #: per-index outcome: "ok" / "failed" / "skipped" / "lost"
-    #: (resilient launches; see the module docstring for the vocabulary)
+    #: (see the module docstring for the vocabulary)
     outcomes: dict = field(default_factory=dict)
     #: per-index count of extra spawn attempts beyond the first
     retries: dict = field(default_factory=dict)

@@ -22,11 +22,12 @@ Every capable RM spawns daemon sets through the unified launch layer
 ``rm-bulk`` -- the default, Section 3.1's efficient path -- or an rsh
 strategy for ad-hoc platforms and the resilience sweep) and records the
 per-phase :class:`~repro.launch.LaunchReport` in ``last_launch_report``.
-With a :class:`~repro.launch.LaunchPolicy` set, spawns run under the
-resilient contract (timeout / bounded retry / blacklisting, a
-``min_daemon_fraction`` acceptance threshold), ``node_blacklist`` holds the
-condemned nodes, and ``free_nodes()`` refuses to re-allocate them -- or
-any crashed node -- for the rest of the session.
+Spawns run under the RM's :class:`~repro.launch.LaunchPolicy` (timeout /
+bounded retry / blacklisting, a ``min_daemon_fraction`` acceptance
+threshold; the fail-fast ``LEGACY`` preset when none is given),
+``node_blacklist`` holds the condemned nodes, and ``free_nodes()`` refuses
+to re-allocate them -- or any crashed node -- for the rest of the
+session.
 """
 
 from repro.rm.base import (

@@ -34,6 +34,7 @@ from repro.simx import Event, SeededRNG, Simulator
 from repro.apps import AppSpec
 from repro.cluster import Cluster, Node, SimProcess
 from repro.launch import (
+    LEGACY,
     LaunchPolicy,
     LaunchReport,
     LaunchRequest,
@@ -279,9 +280,9 @@ class ResourceManager:
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
         self.rng = SeededRNG(seed, f"rm:{self.name}")
-        #: resilience policy applied to every daemon spawn (None = legacy:
-        #: spawns are unguarded and a partial set is a hard failure)
-        self.policy = policy
+        #: failure contract of every daemon spawn (None = the LEGACY preset:
+        #: one fail-fast attempt per daemon, only a complete set accepted)
+        self.policy = policy or LEGACY
         #: which LaunchStrategy spawns daemon sets ("rm-bulk" default; the
         #: rsh strategies model ad-hoc platforms and the resilience sweep)
         self.launch_strategy = launch_strategy
@@ -557,13 +558,12 @@ class ResourceManager:
         calling this (controller bookkeeping, tree descent) should be added
         to the report's spawn phase by the caller.
 
-        With a :class:`~repro.launch.LaunchPolicy` set, each daemon's spawn
-        runs under the resilient contract (timeout / bounded retry /
-        blacklisting) and a partial set is accepted down to the policy's
-        ``min_daemon_fraction`` -- the report attributes every missing
-        index. Below the fraction (or on *any* shortfall without a policy)
-        the survivors are reaped and :class:`RMError` raises, so a failed
-        set cannot leave orphans squatting on nodes.
+        Each daemon's spawn runs under :attr:`policy` (timeout / bounded
+        retry / blacklisting) and a partial set is accepted down to the
+        policy's ``min_daemon_fraction`` -- the report attributes every
+        missing index. Below the fraction the survivors are reaped and
+        :class:`RMError` raises, so a failed set cannot leave orphans
+        squatting on nodes.
         """
         strat_name = self.launch_strategy or "rm-bulk"
         strat = (self.bulk_strategy if strat_name == "rm-bulk"
@@ -572,20 +572,17 @@ class ResourceManager:
             cluster=self.cluster, nodes=nodes, executable=spec.executable,
             image_mb=spec.image_mb, args=spec.args, uid=spec.uid,
             stage_images=True, image_key=spec.executable,
-            hold_clients=False)
-        if self.policy is not None:
-            req.apply_policy(self.policy, self.node_blacklist)
+            hold_clients=False, policy=self.policy,
+            blacklist=(self.node_blacklist if self.policy.blacklist_nodes
+                       else None))
         result = yield from strat.launch(req)
         report = result.report
         report.mechanism = f"{strat.name}({self.name})"
         self.last_launch_report = report
         requested = len(nodes)
         survivors = [p for p in result.procs if p.alive]
-        need = (self.policy.min_daemons(requested)
-                if self.policy is not None else requested)
-        short = len(survivors) < need or (self.policy is None
-                                          and report.failed)
-        if short:
+        need = self.policy.min_daemons(requested)
+        if len(survivors) < need:
             for p in result.procs:
                 if p.alive:
                     p.exit(9)

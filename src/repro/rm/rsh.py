@@ -60,8 +60,9 @@ class RshRM(ResourceManager):
 
         Routed through the unified ``serial-rsh``
         :class:`~repro.launch.LaunchStrategy` with per-rank argument/image
-        hooks; spawn failures propagate (``raise_on_error``), matching the
-        historical contract.
+        hooks under the request's fail-fast default; the first spawn
+        failure propagates, matching the historical contract, and leaves
+        :attr:`last_launch_report` untouched.
         """
         launcher = job.launcher
         if launcher.state.value == "T":
@@ -83,8 +84,9 @@ class RshRM(ResourceManager):
             args_for=lambda i, node: (f"rank={ranks[i]}",),
             image_mb_for=lambda i, node: (
                 app.image_mb if ranks[i] % app.tasks_per_node == 0 else 0.0),
-            post_spawn=imprint,
-            raise_on_error=True))
+            post_spawn=imprint))
+        if result.error is not None:
+            raise result.error
         self.last_launch_report = result.report
         traced = launcher.memory.get(MPIR_BEING_DEBUGGED, 0)
         job.publish_mpir(stopped=bool(traced))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, ForkError
 from repro.launch import (
+    LaunchPolicy,
     LaunchReport,
     LaunchRequest,
     PHASES,
@@ -71,12 +72,22 @@ class TestSerialRsh:
         assert 0 < res.n_spawned < 8
 
     def test_raise_on_error_propagates(self, sim):
+        """A fail-fast launch hands the first spawn error back as
+        ``result.error`` -- the exception itself, ready for a caller with
+        a raising contract (the RM job launch) to re-raise."""
         cluster = Cluster(sim, ClusterSpec(n_compute=8, seed=2,
                                            fe_max_user_procs=4))
-        with pytest.raises(ForkError):
-            run_gen(sim, get_strategy("serial-rsh").launch(_request(
+
+        def launch_or_raise():
+            res = yield from get_strategy("serial-rsh").launch(_request(
                 cluster, cluster.compute, hold_clients=True,
-                raise_on_error=True)))
+                policy=LaunchPolicy(max_retries=0, fail_fast=True)))
+            if res.error is not None:
+                raise res.error
+            return res
+
+        with pytest.raises(ForkError):
+            run_gen(sim, launch_or_raise())
 
 
 class TestTreeRsh:

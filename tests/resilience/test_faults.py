@@ -12,7 +12,7 @@ from repro.cluster import (
     NodeDown,
     Straggler,
 )
-from repro.launch import LaunchRequest, get_strategy
+from repro.launch import LaunchPolicy, LaunchRequest, get_strategy
 from repro.simx import Simulator
 from tests.conftest import run_gen
 
@@ -136,7 +136,8 @@ class TestResilientSerialRsh:
         cluster = _cluster(sim)
         cluster.compute[3].fail()
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
-            cluster, cluster.compute, max_retries=1, retry_backoff=0.01,
+            cluster, cluster.compute,
+            policy=LaunchPolicy(max_retries=1, retry_backoff=0.01),
             blacklist=set())))
         report = res.report
         assert res.n_spawned == 7
@@ -163,7 +164,8 @@ class TestResilientSerialRsh:
         plan = FaultPlan(link_flaps=(LinkFlap(rate=1.0, window=(0.0, 0.4)),))
         cluster = _cluster(sim, n=4, plan=plan)
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
-            cluster, cluster.compute, max_retries=6, retry_backoff=0.2)))
+            cluster, cluster.compute,
+            policy=LaunchPolicy(max_retries=6, retry_backoff=0.2))))
         assert res.n_spawned == 4  # everything recovered after the window
         assert res.report.n_retried > 0
         assert cluster.faults.stats.rsh_faults > 0
@@ -179,7 +181,8 @@ class TestResilientSerialRsh:
         condemned: set = set()
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
             cluster, cluster.compute, hold_clients=True,
-            max_retries=1, retry_backoff=0.01, blacklist=condemned)))
+            policy=LaunchPolicy(max_retries=1, retry_backoff=0.01),
+            blacklist=condemned)))
         assert 0 < res.n_spawned < 8  # the table did fill mid-launch
         assert res.report.n_failed > 0
         assert condemned == set()  # no healthy target condemned
@@ -194,8 +197,10 @@ class TestResilientSerialRsh:
         cluster = Cluster(sim, ClusterSpec(n_compute=2, fault_plan=plan,
                                            seed=3))
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
-            cluster, cluster.compute, per_daemon_timeout=0.5,
-            max_retries=2, retry_backoff=0.01, blacklist=set())))
+            cluster, cluster.compute,
+            policy=LaunchPolicy(per_daemon_timeout=0.5, max_retries=2,
+                                retry_backoff=0.01),
+            blacklist=set())))
         assert res.report.outcomes[0] == "failed"
         assert res.report.retries[0] == 2
         assert res.n_spawned == 1
@@ -207,7 +212,8 @@ class TestResilientSerialRsh:
         cluster = _cluster(sim, n=2, plan=plan)
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
             cluster, cluster.compute, stage_images=True, image_mb=4.0,
-            per_daemon_timeout=0.5, max_retries=3, retry_backoff=1.0)))
+            policy=LaunchPolicy(per_daemon_timeout=0.5, max_retries=3,
+                                retry_backoff=1.0))))
         assert res.n_spawned == 2  # retried past the stall window
         assert res.report.n_retried >= 1
 
@@ -219,8 +225,9 @@ class TestResilientTreeRsh:
         # whole subtree unless the strategy re-roots it
         cluster.compute[0].fail()
         res = run_gen(sim, get_strategy("tree-rsh").launch(_request(
-            cluster, cluster.compute, fanout=2, max_retries=1,
-            retry_backoff=0.01, blacklist=set())))
+            cluster, cluster.compute, fanout=2,
+            policy=LaunchPolicy(max_retries=1, retry_backoff=0.01),
+            blacklist=set())))
         report = res.report
         assert res.n_spawned == 15
         assert report.outcomes[0] == "failed"
@@ -243,7 +250,8 @@ class TestResilientRmBulk:
         cluster.compute[5].fail()
         res = run_gen(sim, get_strategy("rm-bulk").launch(_request(
             cluster, cluster.compute, stage_images=True, image_mb=2.0,
-            max_retries=1, retry_backoff=0.01, blacklist=set())))
+            policy=LaunchPolicy(max_retries=1, retry_backoff=0.01),
+            blacklist=set())))
         assert res.n_spawned == 6
         assert sorted(res.report.failed_indices()) == [1, 5]
         assert set(res.slots) == {0, 2, 3, 4, 6, 7}
@@ -274,16 +282,30 @@ class TestBitIdentity:
 
         assert total(None) == total(FaultPlan())
 
-    @pytest.mark.parametrize("strategy", ["serial-rsh", "tree-rsh"])
+    #: simulator events of the fault-free launch once every attempt runs
+    #: as a bounded child process (per-daemon timeout set)
+    TIMED_EVENTS = {"serial-rsh": 134, "tree-rsh": 163, "rm-bulk": 111}
+
+    @pytest.mark.parametrize("strategy", ["serial-rsh", "tree-rsh",
+                                          "rm-bulk"])
     def test_resilient_knobs_do_not_change_faultfree_timing(self, strategy):
-        def total(**knobs):
+        def run(**knobs):
             sim = Simulator()
             cluster = Cluster(sim, ClusterSpec(n_compute=12, seed=5))
             res = run_gen(sim, get_strategy(strategy).launch(LaunchRequest(
                 cluster=cluster, nodes=cluster.compute,
                 executable="toold", stage_images=True, image_mb=6.0,
                 **knobs)))
-            return res.report.total
+            return res.report.total, sim.stats.events
 
-        assert total() == total(per_daemon_timeout=30.0, max_retries=2,
-                                blacklist=set())
+        default = run()
+        # without a per-daemon timeout each attempt runs inline: the
+        # resilient policy is event-for-event the default launch
+        assert run(policy=LaunchPolicy(max_retries=2),
+                   blacklist=set()) == default
+        # a timeout adds the bounded attempt processes, not virtual time
+        total, events = run(
+            policy=LaunchPolicy(per_daemon_timeout=30.0, max_retries=2),
+            blacklist=set())
+        assert total == default[0]
+        assert events == self.TIMED_EVENTS[strategy]
