@@ -46,6 +46,10 @@ class NodeTaggedError(OSError):
     the attribution is a typed guarantee, not a ``getattr`` convention.
     """
 
+    #: the report of the launch set this error aborted, attached by a
+    #: launch strategy that ends a whole set on it (``rm-bulk``)
+    report = None
+
     def __init__(self, *args, node: str = ""):
         super().__init__(*args)
         self.node = node

@@ -77,7 +77,7 @@ def synthetic_aggregate_payload(filter_name: str, lo: int, hi: int,
     root's delivered waves and final state stay *bit-exact* while the
     span's leaves are never simulated. Filters without a closed form fall
     back to materializing the span's payloads and running the filter's
-    own reduce -- still exact, but linear in span size.
+    own merge -- still exact, but linear in span size.
     """
     span = hi - lo
     if filter_name == "histogram":
@@ -102,11 +102,8 @@ def synthetic_aggregate_payload(filter_name: str, lo: int, hi: int,
         return items[:k]
     if filter_name == "ewma":
         return span  # the span's per-wave sum of 1s
-    filt = make_filter(filter_name, **dict(filter_params))
-    merged, _ = filt.reduce(
-        [synthetic_payload(filter_name, p, wave) for p in range(lo, hi)],
-        filt.initial_state())
-    return merged
+    return make_filter(filter_name, **dict(filter_params)).merge(
+        [synthetic_payload(filter_name, p, wave) for p in range(lo, hi)])
 
 
 def _build_overlay(n_leaves: int, fanout: int, seed: int, plan=None):

@@ -473,9 +473,10 @@ class RmBulkStrategy(LaunchStrategy):
 
     Each node's worker absorbs its own failures (timeout / retry /
     blacklist). Fail-fast is all-or-nothing: the first exhausted spawn
-    interrupts the in-flight workers, reaps the daemons already forked,
-    and re-raises -- a failed set must not leave orphan processes
-    squatting on the nodes. Otherwise the set completes with whatever
+    interrupts the in-flight workers and reaps the daemons already
+    forked (a failed set must not leave orphan processes squatting on
+    the nodes), then re-raises with the set's report attached as the
+    error's ``report``. Otherwise the set completes with whatever
     survived, attributed per index.
     """
 
@@ -519,7 +520,7 @@ class RmBulkStrategy(LaunchStrategy):
         barrier = sim.all_of(workers)
         try:
             yield barrier
-        except BaseException:
+        except BaseException as exc:
             # abort the set: stop in-flight spawners and reap daemons
             # already forked -- a failed spawn must not leave orphans.
             # The barrier must be defused too: this frame may be unwinding
@@ -539,6 +540,10 @@ class RmBulkStrategy(LaunchStrategy):
             for p in procs:
                 if p is not None and p.alive:
                     p.exit(9)
+            if exc is result.error:
+                # the aborted set's report travels with the error, so the
+                # caller can still attribute every index it reached
+                exc.report = self._finish(result, req, t0).report
             raise
         result.procs = [p for p in procs if p is not None]
         result.slots = {i: p for i, p in enumerate(procs) if p is not None}

@@ -40,6 +40,7 @@ from repro.launch import (
     LaunchRequest,
     LaunchResult,
     RmBulkStrategy,
+    SPAWN_ERRORS,
     get_strategy,
 )
 from repro.mpir import (
@@ -563,7 +564,8 @@ class ResourceManager:
         policy's ``min_daemon_fraction`` -- the report attributes every
         missing index. Below the fraction the survivors are reaped and
         :class:`RMError` raises, so a failed set cannot leave orphans
-        squatting on nodes.
+        squatting on nodes. A fail-fast abort records the aborted set's
+        report before its spawn error propagates.
         """
         strat_name = self.launch_strategy or "rm-bulk"
         strat = (self.bulk_strategy if strat_name == "rm-bulk"
@@ -575,9 +577,18 @@ class ResourceManager:
             hold_clients=False, policy=self.policy,
             blacklist=(self.node_blacklist if self.policy.blacklist_nodes
                        else None))
-        result = yield from strat.launch(req)
+        mechanism = f"{strat.name}({self.name})"
+        try:
+            result = yield from strat.launch(req)
+        except SPAWN_ERRORS as exc:
+            # a fail-fast abort carries the aborted set's report: record
+            # it, so a failed set still attributes its failed indices
+            if exc.report is not None:
+                exc.report.mechanism = mechanism
+                self.last_launch_report = exc.report
+            raise
         report = result.report
-        report.mechanism = f"{strat.name}({self.name})"
+        report.mechanism = mechanism
         self.last_launch_report = report
         requested = len(nodes)
         survivors = [p for p in result.procs if p.alive]

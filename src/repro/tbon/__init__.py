@@ -4,7 +4,11 @@ Large-scale tools use TBONs for scalable multicast and data reduction
 (Section 2): a front end, optional internal *communication daemons*, and
 per-node back ends, connected in a tree. Packets broadcast down the tree
 and gather up through *filters* that reduce child payloads at each internal
-node (STAT's call-graph prefix-tree merge is the canonical filter).
+node (STAT's call-graph prefix-tree merge is the canonical filter). Every
+filter is one :class:`Filter` with a per-wave ``merge``, registered once
+(:func:`register_filter`) and built by name (:func:`make_filter`) for both
+one-shot wave reductions and persistent streams
+(:meth:`Overlay.open_stream`).
 
 Two startup paths are provided, matching Figure 6's comparison:
 
@@ -26,14 +30,10 @@ phase -- recovery structure designed into the platform, not bolted on.
 
 from repro.tbon.topology import TBONTopology, TopologyError
 from repro.tbon.filters import (
-    FILTER_REGISTRY,
     Filter,
-    StatelessFilter,
-    get_filter,
+    filter_names,
     make_filter,
     register_filter,
-    register_stream_filter,
-    stream_filter_names,
 )
 from repro.tbon.flow import (
     BoundedInbox,
@@ -63,7 +63,6 @@ from repro.tbon.startup import (
 __all__ = [
     "BoundedInbox",
     "DEFAULT_CREDIT_LIMIT",
-    "FILTER_REGISTRY",
     "Filter",
     "FlowStats",
     "MRNET_PER_BE_HANDSHAKE",
@@ -74,7 +73,6 @@ __all__ = [
     "STREAM_PHASES",
     "StartupFailure",
     "StartupReport",
-    "StatelessFilter",
     "Stream",
     "StreamError",
     "StreamReport",
@@ -82,11 +80,9 @@ __all__ = [
     "TBONTopology",
     "TopologyError",
     "WaveTiming",
-    "get_filter",
+    "filter_names",
     "launchmon_startup",
     "make_filter",
     "native_startup",
     "register_filter",
-    "register_stream_filter",
-    "stream_filter_names",
 ]

@@ -1,18 +1,19 @@
-"""TBON reduction filters: stateless wave reducers and stateful stream filters.
+"""TBON reduction filters: one interface, one registry.
 
 A filter reduces the payloads of one wave's child packets (plus the local
 contribution, if any) into a single upstream payload. Filters are
 registered by name so topologies/streams can reference them portably --
 mirroring MRNet's filter-id mechanism.
 
-Two faces share one registry:
-
-* the **legacy callable face** (``get_filter(name)(payloads)``) used by
-  one-shot wave reductions -- unchanged since the seed;
-* the **stream face** (``make_filter(name, window=..., **params)``) used
-  by persistent streams (:meth:`repro.tbon.Overlay.open_stream`), which
-  returns a :class:`Filter` whose ``reduce(payloads, state)`` both merges
-  one wave *and* folds it into per-position running state.
+Every filter is a :class:`Filter` subclass with a single per-wave
+``merge(payloads)``. ``reduce(payloads, state)`` folds that merge into
+per-position running state (created by ``initial_state()``); a filter that
+keeps no state inherits the default ``(merge(payloads), state)``. Both
+planes use the same objects: a one-shot wave reduction
+(:class:`~repro.tbon.Overlay` with its ``streams`` specs) calls ``merge``,
+and a persistent stream (:meth:`repro.tbon.Overlay.open_stream`) calls
+``reduce``. :func:`register_filter` adds a class under its ``name``;
+:func:`make_filter` is the one way to build an instance.
 
 Algebraic contract (the executable spec lives in
 ``tests/tbon/test_filter_properties.py``): the per-wave merge of every
@@ -25,7 +26,7 @@ subtree's per-wave merges into a running aggregate over the last
 keeping the running aggregate in local state is what lets every level hold
 a live windowed view of its subtree without ever double-counting history.
 
-Built-in stream filters and their MRNet/paper correspondence:
+Built-in filters and their MRNet/paper correspondence:
 
 ==================  ====================================================
 ``concat``          MRNet TFILTER_CONCAT / waitforall (stateless)
@@ -45,137 +46,119 @@ Built-in stream filters and their MRNet/paper correspondence:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-__all__ = [
-    "FILTER_REGISTRY",
-    "Filter",
-    "StatelessFilter",
-    "get_filter",
-    "make_filter",
-    "register_filter",
-    "register_stream_filter",
-    "stream_filter_names",
-]
+__all__ = ["Filter", "filter_names", "make_filter", "register_filter"]
 
-FilterFn = Callable[[Sequence[Any]], Any]
-
-FILTER_REGISTRY: dict[str, FilterFn] = {}
-
-#: stream-filter factories: name -> factory(window=..., **params) -> Filter
-STREAM_FILTER_REGISTRY: dict[str, Callable[..., "Filter"]] = {}
+#: filter classes by name (one registry for both planes)
+_REGISTRY: dict[str, type["Filter"]] = {}
 
 
-def register_filter(name: str, fn: FilterFn) -> None:
-    """Register (or replace) a named reduction filter (legacy callable)."""
-    FILTER_REGISTRY[name] = fn
+def register_filter(cls: type["Filter"]) -> type["Filter"]:
+    """Register (or replace) filter class ``cls`` under ``cls.name``.
+
+    Returns ``cls``, so it doubles as a class decorator.
+    """
+    _REGISTRY[cls.name] = cls
+    return cls
 
 
-def get_filter(name: str) -> FilterFn:
-    try:
-        return FILTER_REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown TBON filter {name!r}; registered: "
-                       f"{sorted(FILTER_REGISTRY)}") from None
+def filter_names() -> list[str]:
+    """Every registered filter name, sorted."""
+    return sorted(_REGISTRY)
 
 
-def register_stream_filter(name: str,
-                           factory: Callable[..., "Filter"]) -> None:
-    """Register (or replace) a stateful stream-filter factory."""
-    STREAM_FILTER_REGISTRY[name] = factory
-
-
-def stream_filter_names() -> list[str]:
-    """Every name usable by a persistent stream (stateful or wrapped)."""
-    return sorted(set(STREAM_FILTER_REGISTRY) | set(FILTER_REGISTRY))
+def _stateful(cls: type["Filter"]) -> bool:
+    return cls.reduce is not Filter.reduce
 
 
 def make_filter(name: str, window: int = 0, **params: Any) -> "Filter":
-    """Instantiate the stream face of filter ``name``.
+    """Instantiate filter ``name``.
 
-    Stateful built-ins honour ``window`` (and filter-specific ``params``
-    like ``k`` or ``alpha``); a name registered only as a legacy callable
-    comes back wrapped in a :class:`StatelessFilter`.
+    Stateful filters honour ``window`` (and filter-specific ``params``
+    like ``k`` or ``alpha``); a stateless filter ignores ``window`` and
+    takes no ``params``.
     """
-    factory = STREAM_FILTER_REGISTRY.get(name)
-    if factory is not None:
-        return factory(window=window, **params)
-    fn = get_filter(name)  # raises the unknown-name KeyError first
-    if params:
+    try:
+        cls = _REGISTRY[name]
+    except KeyError:
+        raise KeyError(f"unknown TBON filter {name!r}; registered: "
+                       f"{sorted(_REGISTRY)}") from None
+    if params and not _stateful(cls):
         raise KeyError(
             f"TBON filter {name!r} is stateless; it takes no parameters "
             f"{sorted(params)} (stateful filters: "
-            f"{sorted(STREAM_FILTER_REGISTRY)})")
-    return StatelessFilter(fn, name)
+            f"{sorted(n for n, c in _REGISTRY.items() if _stateful(c))})")
+    return cls(window=window, **params)
 
 
 class Filter:
-    """A stateful TBON stream filter.
+    """A TBON reduction filter.
 
-    ``reduce(payloads, state)`` merges one wave's child payloads into the
-    upstream payload and folds the merge into ``state`` (created by
-    :meth:`initial_state`; one state lives per (stream, position), passed
-    back in on every wave). The merge MUST be associative and commutative
-    -- that is what makes the root's result independent of tree shape and
-    arrival order. Instances carry no per-position data themselves, so one
+    ``merge(payloads)`` reduces one wave's child payloads into the
+    upstream payload; it MUST be associative and commutative -- that is
+    what makes the root's result independent of tree shape and arrival
+    order. ``reduce(payloads, state)`` merges one wave *and* folds the
+    merge into ``state`` (created by :meth:`initial_state`; one state
+    lives per (stream, position), passed back in on every wave); stateful
+    filters override it, using ``window`` (the last ``window`` waves, 0 =
+    unbounded). Instances carry no per-position data themselves, so one
     instance can serve a whole stream.
     """
 
     name = "?"
 
+    def __init__(self, window: int = 0):
+        self.window = max(0, int(window))
+
     def initial_state(self) -> Any:
         return None
 
-    def reduce(self, payloads: Sequence[Any],
-               state: Any) -> tuple[Any, Any]:
+    def merge(self, payloads: Sequence[Any]) -> Any:
         raise NotImplementedError
 
-    # the legacy callable face: single stateless wave reduction
-    def __call__(self, payloads: Sequence[Any]) -> Any:
-        merged, _state = self.reduce(payloads, self.initial_state())
-        return merged
-
-
-class StatelessFilter(Filter):
-    """Adapter giving a legacy callable the stream-filter interface."""
-
-    def __init__(self, fn: FilterFn, name: str = "?"):
-        self.fn = fn
-        self.name = name
-
     def reduce(self, payloads: Sequence[Any],
                state: Any) -> tuple[Any, Any]:
-        return self.fn(payloads), state
+        return self.merge(payloads), state
 
 
 # -- stateless built-in filters ----------------------------------------------
 
-def _concat(payloads: Sequence[Any]) -> Any:
+@register_filter
+class ConcatFilter(Filter):
     """Waitforall concatenation: list of all child payloads (no reduction)."""
-    out: list = []
-    for p in payloads:
-        if isinstance(p, list):
-            out.extend(p)
-        else:
-            out.append(p)
-    return out
+
+    name = "concat"
+
+    def merge(self, payloads: Sequence[Any]) -> list:
+        out: list = []
+        for p in payloads:
+            if isinstance(p, list):
+                out.extend(p)
+            else:
+                out.append(p)
+        return out
 
 
-def _sum(payloads: Sequence[Any]) -> Any:
-    return sum(payloads)
+@register_filter
+class SumFilter(Filter):
+    name = "sum"
+
+    def merge(self, payloads: Sequence[Any]) -> Any:
+        return sum(payloads)
 
 
-def _max(payloads: Sequence[Any]) -> Any:
-    return max(payloads)
+@register_filter
+class MaxFilter(Filter):
+    name = "max"
 
-
-register_filter("concat", _concat)
-register_filter("sum", _sum)
-register_filter("max", _max)
+    def merge(self, payloads: Sequence[Any]) -> Any:
+        return max(payloads)
 
 
 # -- stateful built-in filters ------------------------------------------------
 
+@register_filter
 class RunningHistogramFilter(Filter):
     """Pointwise-summed histograms with a running windowed total.
 
@@ -187,9 +170,6 @@ class RunningHistogramFilter(Filter):
     """
 
     name = "histogram"
-
-    def __init__(self, window: int = 0):
-        self.window = max(0, int(window))
 
     def initial_state(self) -> dict:
         return {"waves": [], "running": {}}
@@ -218,6 +198,7 @@ class RunningHistogramFilter(Filter):
         return merged, state
 
 
+@register_filter
 class TopKFilter(Filter):
     """Exact distributed top-k over ``[value, key]`` items.
 
@@ -235,8 +216,8 @@ class TopKFilter(Filter):
     def __init__(self, k: int = 8, window: int = 0):
         if k < 1:
             raise ValueError(f"top_k needs k >= 1, got {k}")
+        super().__init__(window)
         self.k = int(k)
-        self.window = max(0, int(window))
 
     def initial_state(self) -> dict:
         return {"waves": [], "running": []}
@@ -262,6 +243,7 @@ class TopKFilter(Filter):
         return merged, state
 
 
+@register_filter
 class EwmaRateFilter(Filter):
     """Per-wave aggregate sum with an EWMA rate estimate in state.
 
@@ -278,15 +260,18 @@ class EwmaRateFilter(Filter):
     def __init__(self, alpha: float = 0.5, window: int = 0):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"ewma needs 0 < alpha <= 1, got {alpha}")
+        super().__init__(window)
         self.alpha = float(alpha)
-        self.window = max(0, int(window))
 
     def initial_state(self) -> dict:
         return {"waves": [], "ewma": None, "last": None, "n_waves": 0}
 
+    def merge(self, payloads: Sequence[float]) -> float:
+        return sum(payloads)
+
     def reduce(self, payloads: Sequence[float],
                state: dict) -> tuple[float, dict]:
-        total = sum(payloads)
+        total = self.merge(payloads)
         prev = state["ewma"]
         state["ewma"] = total if prev is None else (
             self.alpha * total + (1.0 - self.alpha) * prev)
@@ -310,18 +295,7 @@ def _merge_tree_nodes(nodes: Sequence[dict]) -> dict:
                   for f in frames}}
 
 
-def prefix_tree_merge(payloads: Sequence[dict]) -> dict:
-    """Merge prefix-tree payloads (``PrefixTree.to_dict`` wire form).
-
-    Promoted from ``repro.tools.stat_tool.prefix_tree``: the union is
-    computed directly on the JSON-able dicts, byte-identical to round-
-    tripping through :class:`~repro.tools.stat_tool.PrefixTree`, so the
-    TBON layer needs no tool import.
-    """
-    return {"tree": _merge_tree_nodes([p["tree"] for p in payloads]),
-            "n": sum(p.get("n", 0) for p in payloads)}
-
-
+@register_filter
 class PrefixTreeMergeFilter(Filter):
     """STAT's call-graph union as a stream filter with a windowed view.
 
@@ -332,34 +306,31 @@ class PrefixTreeMergeFilter(Filter):
 
     name = "prefix_tree_merge"
 
-    def __init__(self, window: int = 0):
-        self.window = max(0, int(window))
-
     def initial_state(self) -> dict:
         return {"waves": [], "running": None}
 
+    @staticmethod
+    def merge(payloads: Sequence[dict]) -> dict:
+        """Merge prefix-tree payloads (``PrefixTree.to_dict`` wire form).
+
+        Promoted from ``repro.tools.stat_tool.prefix_tree``: the union is
+        computed directly on the JSON-able dicts, byte-identical to
+        round-tripping through :class:`~repro.tools.stat_tool.PrefixTree`,
+        so the TBON layer needs no tool import.
+        """
+        return {"tree": _merge_tree_nodes([p["tree"] for p in payloads]),
+                "n": sum(p.get("n", 0) for p in payloads)}
+
     def reduce(self, payloads: Sequence[dict],
                state: dict) -> tuple[dict, dict]:
-        merged = prefix_tree_merge(payloads)
+        merged = self.merge(payloads)
         state["waves"].append(merged)
         if self.window:
             if len(state["waves"]) > self.window:
                 state["waves"].pop(0)
-            state["running"] = prefix_tree_merge(state["waves"])
+            state["running"] = self.merge(state["waves"])
         else:
             state["running"] = (merged if state["running"] is None
-                                else prefix_tree_merge(
-                                    [state["running"], merged]))
+                                else self.merge([state["running"], merged]))
         return merged, state
 
-
-register_stream_filter("histogram", RunningHistogramFilter)
-register_stream_filter("top_k", TopKFilter)
-register_stream_filter("ewma", EwmaRateFilter)
-register_stream_filter("prefix_tree_merge", PrefixTreeMergeFilter)
-
-# the legacy callable face of the stateful built-ins (single-wave merge)
-register_filter("histogram", RunningHistogramFilter.merge)
-register_filter("top_k", TopKFilter())
-register_filter("ewma", EwmaRateFilter())
-register_filter("prefix_tree_merge", prefix_tree_merge)

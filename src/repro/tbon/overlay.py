@@ -58,7 +58,7 @@ from typing import Any, Generator, Optional
 from repro.simx import Channel, Event, Simulator, Store
 from repro.cluster import Node
 from repro.cluster.network import Network, message_size
-from repro.tbon.filters import get_filter, make_filter
+from repro.tbon.filters import Filter, make_filter
 from repro.tbon.flow import (
     BoundedInbox,
     FlowStats,
@@ -75,25 +75,19 @@ __all__ = ["DEFAULT_CREDIT_LIMIT", "Overlay", "OverlayEndpoint",
 #: credit limit used when a persistent stream is opened from a legacy spec
 DEFAULT_CREDIT_LIMIT = 4
 
-#: **Test-only hazard switch.** True reverts :meth:`Overlay.children_of`
-#: to the pre-cache behaviour (a full O(size) rebuild on every call) --
-#: the wall-clock O(N^2) class scalecheck exists to catch, planted by
-#: tests/analysis/test_scalecheck.py to prove the detector fires.
-#: Virtual timings are unaffected either way. Never set in production.
-REVERT_CHILDREN_CACHE = False
-
 
 @dataclass(frozen=True)
 class StreamSpec:
     """One logical stream: id, filter, and (for persistent streams) flow.
 
-    The seed's one-shot wave reductions use only ``stream_id`` +
-    ``filter_name``. A spec handed to :meth:`Overlay.open_stream`
-    additionally carries the data-plane knobs: ``credit_limit`` bounds
-    every per-position inbox (and is the backpressure window),
-    ``window`` is the stateful filter's wave window (0 = unbounded), and
+    Both planes build the spec's filter through :meth:`make_filter`:
+    ``window`` is the stateful filter's wave window (0 = unbounded) and
     ``filter_params`` are extra filter-constructor arguments as a tuple
     of ``(key, value)`` pairs (kept hashable so specs stay frozen).
+    One-shot wave reductions call the filter's ``merge``; a spec handed
+    to :meth:`Overlay.open_stream` additionally carries
+    ``credit_limit``, which bounds every per-position inbox (and is the
+    backpressure window).
     """
 
     stream_id: int
@@ -101,6 +95,11 @@ class StreamSpec:
     credit_limit: int = 0
     window: int = 0
     filter_params: tuple = ()
+
+    def make_filter(self) -> Filter:
+        """A fresh instance of this spec's filter."""
+        return make_filter(self.filter_name, window=self.window,
+                           **dict(self.filter_params))
 
 
 @dataclass
@@ -176,6 +175,10 @@ class Overlay:
         self.topology = topology
         self.placement = dict(placement)
         self.streams = dict(streams)
+        #: one-shot wave filters by stream id, built once from the specs
+        self._filters = {sid: spec.make_filter()
+                         for sid, spec in self.streams.items()}
+        self._default_filter = make_filter("concat")
         self.root_delivery: Store = Store(sim)
         self._up_channels: dict[int, Channel] = {}
         self._down_stores: dict[int, Store] = {}
@@ -204,7 +207,7 @@ class Overlay:
 
     def children_of(self, pos: int) -> list[int]:
         """Live effective children of ``pos``."""
-        cache = None if REVERT_CHILDREN_CACHE else self._children_cache
+        cache = self._children_cache
         if cache is None:
             # one O(size) pass instead of O(size) *per call*: router
             # startup alone asks for every position's children, which made
@@ -217,8 +220,7 @@ class Overlay:
                     par = parent[q]
                     if par is not None:
                         cache[par].append(q)
-            if not REVERT_CHILDREN_CACHE:
-                self._children_cache = cache
+            self._children_cache = cache
         return list(cache[pos])
 
     def live_positions(self) -> list[int]:
@@ -378,8 +380,7 @@ class Overlay:
                 continue
             payloads = buffers.pop(key)
             wsum = weights.pop(key)
-            spec = self.streams.get(pkt.stream_id)
-            fn = get_filter(spec.filter_name if spec else "concat")
+            filt = self._filters.get(pkt.stream_id, self._default_filter)
             # per-payload merge processing at this position, weighted by
             # the physical messages each contribution stands in for (an
             # aggregate child counts as its whole collapsed fan-in; every
@@ -387,7 +388,7 @@ class Overlay:
             # bit-identical max(1, len(payloads)) they always did)
             yield self.sim.timeout(
                 self.network.costs.msg_overhead * max(1, wsum))
-            merged = fn(payloads)
+            merged = filt.merge(payloads)
             out = Packet(pkt.stream_id, pkt.wave, merged, "up")
             if pos == 0:
                 yield self.root_delivery.put(out)
@@ -563,8 +564,7 @@ class Stream:
         self.overlay = overlay
         self.spec = spec
         self.sim = overlay.sim
-        self.filter = make_filter(spec.filter_name, window=spec.window,
-                                  **dict(spec.filter_params))
+        self.filter = spec.make_filter()
         #: per-position filter state (survives repairs for live positions)
         self.states: dict[int, Any] = {}
         self.report = StreamReport(
@@ -674,8 +674,7 @@ class Stream:
                 # folded into its state: merge again (the payload must
                 # still flow upward) but leave the windowed aggregates
                 # alone -- history is never double-counted
-                merged, _scratch = self.filter.reduce(
-                    payloads, self.filter.initial_state())
+                merged = self.filter.merge(payloads)
             else:
                 merged, self.states[pos] = self.filter.reduce(
                     payloads, self.states[pos])

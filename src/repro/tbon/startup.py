@@ -35,22 +35,28 @@ MRNET_PER_BE_HANDSHAKE = 0.003
 #: TBON startups report through the unified launch layer's per-phase report
 StartupReport = LaunchReport
 
-#: **Test-only hazard switch.** True reverts ``launchmon_startup`` to the
-#: pre-PR-5 behaviour where every daemon re-parses the piggybacked
-#: topology wire form and the placement broadcast instead of sharing one
-#: parsed copy per session -- an O(N^2) wall-clock term (N daemons x O(N)
-#: parse) that is invisible in virtual time. Planted by
-#: tests/analysis/test_scalecheck.py to prove scalecheck catches the
-#: class. Never set in production.
-REVERT_SHARED_PARSE = False
-
-
 class StartupFailure(RuntimeError):
     """The startup mechanism collapsed (e.g. fork failure at scale)."""
 
     def __init__(self, message: str, spawned: int = 0):
         super().__init__(message)
         self.spawned = spawned
+
+
+def _parse_shared(shared: dict, wire: Any, info: dict,
+                  ) -> tuple[TBONTopology, list[int], dict[int, str]]:
+    """A session's parsed topology, BE positions and placement names,
+    parsed once per wire object and cached in ``shared``."""
+    if shared.get("topo_wire") is not wire:
+        shared["topo_wire"] = wire
+        shared["topo_parsed"] = TBONTopology.from_jsonable(wire)
+        shared["be_positions"] = shared["topo_parsed"].backends()  # simlint: allow[agg-leaves] -- daemon-side parse: only simulated daemons exist
+    if shared.get("placement_wire") is not info:
+        shared["placement_wire"] = info
+        shared["placement_names"] = {
+            int(k): v for k, v in info["placement"].items()}
+    return (shared["topo_parsed"], shared["be_positions"],
+            shared["placement_names"])
 
 
 def _build_overlay(cluster: Cluster, topology: TBONTopology,
@@ -217,18 +223,9 @@ def launchmon_startup(fe_api, session, job: RMJob,
         # session share one parsed form instead of each re-parsing the
         # same wire object -- at 64k daemons the per-daemon parses were
         # an O(N^2) wall-clock term that dwarfed the simulation itself
-        wire = ctx.usr_data_init["topology"]
-        if REVERT_SHARED_PARSE or shared.get("topo_wire") is not wire:
-            shared["topo_wire"] = wire
-            shared["topo_parsed"] = TBONTopology.from_jsonable(wire)
-            shared["be_positions"] = shared["topo_parsed"].backends()  # simlint: allow[agg-leaves] -- daemon-side parse: only simulated daemons exist
-        topo_l = shared["topo_parsed"]
-        if REVERT_SHARED_PARSE or shared.get("placement_wire") is not info:
-            shared["placement_wire"] = info
-            shared["placement_names"] = {
-                int(k): v for k, v in info["placement"].items()}
-        placement_names = shared["placement_names"]
-        my_pos = shared["be_positions"][ctx.rank]
+        topo_l, be_positions, placement_names = _parse_shared(
+            shared, ctx.usr_data_init["topology"], info)
+        my_pos = be_positions[ctx.rank]
         parent_pos = topo_l.parent[my_pos]
         parent_node = cluster.node(placement_names[parent_pos])
         yield from cluster.network.connect(ctx.node, parent_node)

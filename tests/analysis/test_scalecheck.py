@@ -176,11 +176,21 @@ class TestEndToEnd:
                     base[name]["exponent"], abs=1e-9), name
 
     def test_planted_quadratic_regression_is_detected(self, monkeypatch):
-        # revert both PR-5 scalability fixes behind their test-only
-        # hazard switches: per-daemon wire re-parsing (O(N) work x N
-        # daemons) and the children_of cache (O(N) scan per lookup)
-        monkeypatch.setattr(startup_mod, "REVERT_SHARED_PARSE", True)
-        monkeypatch.setattr(overlay_mod, "REVERT_CHILDREN_CACHE", True)
+        # revert both scalability fixes: per-daemon wire re-parsing
+        # (O(N) work x N daemons) and the children_of cache (O(N) scan
+        # per lookup)
+        parse = startup_mod._parse_shared
+        monkeypatch.setattr(startup_mod, "_parse_shared",
+                            lambda shared, wire, info: parse({}, wire, info))
+
+        children_of = overlay_mod.Overlay.children_of
+
+        def uncached_children_of(self, pos):
+            self._children_cache = None  # full rebuild on every lookup
+            return children_of(self, pos)
+
+        monkeypatch.setattr(overlay_mod.Overlay, "children_of",
+                            uncached_children_of)
         result = run_check("fig6", scales=(256, 1024), jobs=1, repeats=2)
         assert not result.ok
         walls = [r for r in result.regressions if r.metric == "wall_s"]

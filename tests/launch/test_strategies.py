@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, ForkError
+from repro.cluster import Cluster, ClusterSpec, ForkError, NodeDown
 from repro.launch import (
     LaunchPolicy,
     LaunchReport,
@@ -168,6 +168,32 @@ class TestRmBulk:
         assert rep.n_daemons == 4
         assert rep.staging_mode == "shared-fs"
         assert rep.t_spawn > 0  # includes the RM protocol overhead
+
+    def test_rm_records_report_of_failed_rm_bulk_set(self):
+        """A fail-fast rm-bulk abort still reaches ``last_launch_report``:
+        the error propagates unchanged, but the aborted set's report
+        attributes the index that failed."""
+        env = make_env(n_compute=4)
+        spec = DaemonSpec("toold", main=_noop_daemon, image_mb=2.0)
+        box = {}
+
+        def scenario(env):
+            alloc = env.rm.allocate(4)
+            alloc.nodes[2].fail()
+            try:
+                yield from env.rm.spawn_on_allocation(
+                    alloc, spec, lambda d, ds, fab: None)
+            except NodeDown as exc:
+                box["error"] = exc
+
+        drive(env, scenario(env))
+        rep = env.rm.last_launch_report
+        assert isinstance(box["error"], NodeDown)
+        assert box["error"].report is rep
+        assert rep.mechanism == "rm-bulk(slurm)"
+        assert rep.failed is True
+        assert "failed" in rep.outcomes.values()
+        assert rep.n_failed >= 1 and rep.n_daemons == 0
 
 
 class TestStagingModes:

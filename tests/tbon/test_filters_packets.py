@@ -4,55 +4,69 @@ import pytest
 
 from repro.cluster.network import message_size
 from repro.tbon import (
-    FILTER_REGISTRY,
     Filter,
     Packet,
-    StatelessFilter,
-    get_filter,
+    filter_names,
     make_filter,
     register_filter,
-    register_stream_filter,
-    stream_filter_names,
 )
 from repro.tbon.filters import (
     EwmaRateFilter,
     RunningHistogramFilter,
     TopKFilter,
 )
+from repro.tbon.filters import _REGISTRY as REGISTRY
 
 
 class TestRegistryErrorPaths:
+    def test_register_filter_replaces_silently(self):
+        """Replacement semantics: the registry is last-write-wins (how
+        tools override a built-in), and the previous class is simply
+        unreachable afterwards."""
+        original = type(make_filter("sum"))
+
+        class Negative(Filter):
+            name = "sum"
+
+            def merge(self, payloads):
+                return -1
+
+        try:
+            assert register_filter(Negative) is Negative
+            assert make_filter("sum").merge([1, 2, 3]) == -1
+        finally:
+            register_filter(original)
+        assert make_filter("sum").merge([1, 2, 3]) == 6
+
+    def test_register_new_name_and_lookup(self):
+        class Min(Filter):
+            name = "test_only_min"
+
+            def merge(self, payloads):
+                return min(payloads)
+
+        register_filter(Min)
+        try:
+            assert "test_only_min" in filter_names()
+            f = make_filter("test_only_min", window=3)
+            assert isinstance(f, Min) and f.window == 3
+            assert f.merge([4, 2, 9]) == 2
+            # a stateless filter's reduce is its merge, state untouched
+            assert f.reduce([4, 2, 9], f.initial_state()) == (2, None)
+            with pytest.raises(KeyError, match="stateless"):
+                make_filter("test_only_min", k=1)
+        finally:
+            del REGISTRY["test_only_min"]
+
     def test_get_filter_unknown_name(self):
+        """Looking up an unregistered name (now through make_filter, the
+        one lookup) fails with an error that names the offender AND lists
+        what IS registered."""
         with pytest.raises(KeyError) as err:
-            get_filter("no_such_filter")
-        # the error names the offender AND lists what IS registered
+            make_filter("no_such_filter")
         msg = str(err.value)
         assert "no_such_filter" in msg
         assert "concat" in msg and "sum" in msg
-
-    def test_register_filter_replaces_silently(self):
-        """Replacement semantics: the registry is last-write-wins (how
-        tools override a built-in), and the previous callable is simply
-        unreachable afterwards."""
-        original = get_filter("sum")
-        try:
-            register_filter("sum", lambda payloads: -1)
-            assert get_filter("sum")([1, 2, 3]) == -1
-        finally:
-            register_filter("sum", original)
-        assert get_filter("sum")([1, 2, 3]) == 6
-
-    def test_register_new_name_and_lookup(self):
-        register_filter("test_only_min", min)
-        try:
-            assert get_filter("test_only_min")([4, 2, 9]) == 2
-            assert "test_only_min" in stream_filter_names()
-            # unknown to the stream registry -> wrapped stateless
-            wrapped = make_filter("test_only_min")
-            assert isinstance(wrapped, StatelessFilter)
-            assert wrapped([4, 2, 9]) == 2
-        finally:
-            del FILTER_REGISTRY["test_only_min"]
 
     def test_make_filter_unknown_name(self):
         with pytest.raises(KeyError, match="unknown TBON filter"):
@@ -64,21 +78,35 @@ class TestRegistryErrorPaths:
             make_filter("topk", k=5)
 
     def test_make_filter_rejects_params_for_stateless(self):
-        with pytest.raises(KeyError, match="stateless"):
+        with pytest.raises(KeyError, match="stateless") as err:
             make_filter("concat", k=3)
+        assert str(err.value) == repr(
+            "TBON filter 'concat' is stateless; it takes no parameters "
+            "['k'] (stateful filters: ['ewma', 'histogram', "
+            "'prefix_tree_merge', 'top_k'])")
 
-    def test_register_stream_filter_replacement(self):
-        class Custom(Filter):
+    def test_register_stateful_filter_subclass(self):
+        class Count(Filter):
+            name = "test_only_count"
+
+            def initial_state(self):
+                return 0
+
+            def merge(self, payloads):
+                return len(payloads)
+
             def reduce(self, payloads, state):
-                return len(payloads), state
+                merged = self.merge(payloads)
+                return merged, state + merged
 
-        register_stream_filter("test_only_count", lambda window=0: Custom())
+        register_filter(Count)
         try:
-            f = make_filter("test_only_count")
-            assert f(["a", "b", "c"]) == 3
+            f = make_filter("test_only_count", window=-2)
+            assert f.window == 0  # the base class clamps the window
+            assert f.merge(["a", "b", "c"]) == 3
+            assert f.reduce(["a", "b"], f.initial_state()) == (2, 2)
         finally:
-            from repro.tbon.filters import STREAM_FILTER_REGISTRY
-            del STREAM_FILTER_REGISTRY["test_only_count"]
+            del REGISTRY["test_only_count"]
 
     def test_base_filter_reduce_is_abstract(self):
         with pytest.raises(NotImplementedError):
@@ -103,11 +131,14 @@ class TestStatefulFilterValidation:
             _, state = f.reduce([{"a": 1}], state)
         assert state["running"] == {"a": 2}  # only the last 2 waves
 
-    def test_legacy_faces_are_single_wave(self):
-        assert get_filter("histogram")([{"a": 1}, {"a": 2, "b": 1}]) \
+    def test_merge_is_single_wave(self):
+        assert make_filter("histogram").merge([{"a": 1}, {"a": 2, "b": 1}]) \
             == {"a": 3, "b": 1}
-        assert get_filter("ewma")([2, 3]) == 5
-        assert get_filter("top_k")([[[5, "x"]], [[9, "y"]]])[0] == [9, "y"]
+        assert make_filter("ewma").merge([2, 3]) == 5
+        assert make_filter("top_k").merge(
+            [[[5, "x"]], [[9, "y"]]])[0] == [9, "y"]
+        assert make_filter("top_k", k=1).merge(
+            [[[5, "x"]], [[9, "y"]]]) == [[9, "y"]]
 
 
 class TestPacketInvariants:

@@ -8,15 +8,17 @@ from repro.fe import ToolFrontEnd
 from repro.runner import drive, make_env
 from repro.simx import Simulator
 from repro.tbon import (
+    Filter,
     Overlay,
     StartupFailure,
     TBONTopology,
     TopologyError,
-    get_filter,
     launchmon_startup,
+    make_filter,
     native_startup,
     register_filter,
 )
+from repro.tbon.filters import _REGISTRY as REGISTRY
 from repro.tbon.overlay import StreamSpec
 from repro.tbon.packets import Packet
 
@@ -54,17 +56,26 @@ class TestTopology:
 
 class TestFilters:
     def test_registry_lookup(self):
-        assert get_filter("concat")([["a"], ["b"]]) == ["a", "b"]
+        assert make_filter("concat").merge([["a"], ["b"]]) == ["a", "b"]
         with pytest.raises(KeyError, match="unknown TBON filter"):
-            get_filter("nonexistent")
+            make_filter("nonexistent")
 
     def test_register_custom(self):
-        register_filter("test_min", min)
-        assert get_filter("test_min")([3, 1, 2]) == 1
+        class Min(Filter):
+            name = "test_min"
+
+            def merge(self, payloads):
+                return min(payloads)
+
+        register_filter(Min)
+        try:
+            assert make_filter("test_min").merge([3, 1, 2]) == 1
+        finally:
+            del REGISTRY["test_min"]
 
     def test_sum_and_max(self):
-        assert get_filter("sum")([1, 2, 3]) == 6
-        assert get_filter("max")([1, 5, 2]) == 5
+        assert make_filter("sum").merge([1, 2, 3]) == 6
+        assert make_filter("max").merge([1, 5, 2]) == 5
 
 
 class TestOverlayRouting:

@@ -104,9 +104,9 @@ class TestWireForm:
         assert json.loads(json.dumps(t.to_dict())) == t.to_dict()
 
     def test_filter_registered(self):
-        from repro.tbon import get_filter
-        fn = get_filter("prefix_tree_merge")
+        from repro.tbon import make_filter
+        filt = make_filter("prefix_tree_merge")
         a = build([(BARRIER, 0)]).to_dict()
         b = build([(BARRIER, 1)]).to_dict()
-        merged = PrefixTree.from_dict(fn([a, b]))
+        merged = PrefixTree.from_dict(filt.merge([a, b]))
         assert merged.ranks_at(BARRIER) == {0, 1}
